@@ -24,7 +24,7 @@ Select it through the common factory
 :class:`~repro.apps.harness.SwarmHarness` ``engine`` knob.  The
 round-emulation configuration is proved byte-identical to the round
 engine by ``python -m repro.verify --event-oracle``
-(:mod:`repro.verify.events`); see ``docs/EVENTS.md``.
+(:mod:`repro.verify.oracle`); see ``docs/EVENTS.md``.
 """
 
 from repro.events.delay import (

@@ -14,7 +14,10 @@ This package closes that gap with a seeded property-test harness:
   it, checks caching transparency, and minimizes failing reproductions
   (:mod:`repro.verify.engine`);
 * intentionally-buggy mutants that prove the monitors actually fire
-  (:mod:`repro.verify.mutants`).
+  (:mod:`repro.verify.mutants`);
+* the engine oracles — rounds vs batch, rounds vs events, and the
+  causality check on each engine — as one sweep
+  (:mod:`repro.verify.oracle`).
 
 Command line::
 

@@ -7,13 +7,14 @@ Examples::
     python -m repro.verify --quick --seeds 10        # CI-sized sweep
     python -m repro.verify --self-test               # mutants must be caught
     python -m repro.verify --mutant deaf             # show one mutant's report
-    python -m repro.verify --backend-oracle --quick  # scalar vs batch parity
+    python -m repro.verify --backend-oracle --quick  # rounds vs batch parity
+    python -m repro.verify --event-oracle --quick    # rounds vs events parity
     python -m repro.verify --causal-oracle --quick   # happens-before checks
     python -m repro.verify --list                    # cells, skips, mutants
 
 Exit status: 0 when everything holds (or, for ``--self-test``, when
 every mutant is caught); 1 on any violation, engine error, or missed
-mutant; 2 on usage errors.
+mutant; 2 on usage errors (including two oracle flags at once).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.verify.engine import CellResult, run_matrix
+from repro.verify.engine import run_matrix
 from repro.verify.mutants import MUTANTS, run_mutant, run_self_test
+from repro.verify.oracle import OracleResult, run_oracle
 from repro.verify.scenarios import CELLS, PROTOCOLS, SCHEDULERS, SKIPS
 
 
@@ -72,20 +74,21 @@ def _parser() -> argparse.ArgumentParser:
         help="on failure, replay the minimized repro with the obs "
              "recorder attached and dump the event trace (JSONL) here",
     )
-    parser.add_argument(
-        "--backend-oracle", action="store_true",
-        help="differential oracle: every cell run on both the scalar and "
-             "the batch backend from the same seed must be bit-identical "
+    oracles = parser.add_mutually_exclusive_group()
+    oracles.add_argument(
+        "--backend-oracle", dest="oracle", action="store_const", const="backend",
+        help="differential oracle: every cell run on both the round engine "
+             "and the batch engine from the same seed must be bit-identical "
              "(requires numpy; exits 0 with a notice when it is absent)",
     )
-    parser.add_argument(
-        "--event-oracle", action="store_true",
+    oracles.add_argument(
+        "--event-oracle", dest="oracle", action="store_const", const="event",
         help="differential oracle: every cell run on both the round engine "
              "and the event engine (round-emulation mode) from the same "
              "seed must be bit-identical (pure python)",
     )
-    parser.add_argument(
-        "--causal-oracle", action="store_true",
+    oracles.add_argument(
+        "--causal-oracle", dest="oracle", action="store_const", const="causal",
         help="causality oracle: every cell runs instrumented on both "
              "engines; the recorded trace must rebuild into a clean "
              "happens-before DAG (receipt after encode, ack after "
@@ -179,96 +182,17 @@ def _do_mutant(name: str) -> int:
     return 1
 
 
-def _do_backend_oracle(args, protocols, schedulers, seeds) -> int:
-    from repro.batch import NUMPY_HINT, available
-    from repro.verify.backends import BackendCellResult, run_backend_matrix
-
-    if not available():
-        print(f"backend oracle skipped: {NUMPY_HINT}")
-        return 0
-
-    def progress(result: BackendCellResult) -> None:
-        status = "ok" if result.ok else "FAIL"
-        print(
-            f"  {result.protocol} x {result.scheduler} ({result.variant}) "
-            f"seed={result.seed} size={result.size} steps={result.steps} {status}",
-            flush=True,
-        )
-
-    report = run_backend_matrix(
-        protocols,
-        schedulers,
-        seeds,
-        quick=args.quick,
-        progress=progress if args.verbose else None,
+def _progress(result) -> None:
+    """Per-run progress line for ``--verbose`` (matrix or oracle run)."""
+    status = "ok" if result.ok else "FAIL"
+    where = f"{result.protocol} x {result.scheduler}"
+    if isinstance(result, OracleResult):
+        where += f" [{result.engine}] ({result.variant})"
+    print(
+        f"  {where} seed={result.seed} "
+        f"size={result.size} steps={result.steps} {status}",
+        flush=True,
     )
-    print(report.format(verbose=args.verbose))
-    if args.json:
-        payload = json.dumps(report.to_json(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-    return 0 if report.ok else 1
-
-
-def _do_event_oracle(args, protocols, schedulers, seeds) -> int:
-    from repro.verify.events import EventCellResult, run_event_matrix
-
-    def progress(result: EventCellResult) -> None:
-        status = "ok" if result.ok else "FAIL"
-        print(
-            f"  {result.protocol} x {result.scheduler} ({result.variant}) "
-            f"seed={result.seed} size={result.size} steps={result.steps} {status}",
-            flush=True,
-        )
-
-    report = run_event_matrix(
-        protocols,
-        schedulers,
-        seeds,
-        quick=args.quick,
-        progress=progress if args.verbose else None,
-    )
-    print(report.format(verbose=args.verbose))
-    if args.json:
-        payload = json.dumps(report.to_json(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-    return 0 if report.ok else 1
-
-
-def _do_causal_oracle(args, protocols, schedulers, seeds) -> int:
-    from repro.verify.causal import CausalCellResult, run_causal_matrix
-
-    def progress(result: CausalCellResult) -> None:
-        status = "ok" if result.ok else "FAIL"
-        print(
-            f"  {result.protocol} x {result.scheduler} [{result.engine}] "
-            f"seed={result.seed} size={result.size} steps={result.steps} {status}",
-            flush=True,
-        )
-
-    report = run_causal_matrix(
-        protocols,
-        schedulers,
-        seeds,
-        quick=args.quick,
-        progress=progress if args.verbose else None,
-    )
-    print(report.format(verbose=args.verbose))
-    if args.json:
-        payload = json.dumps(report.to_json(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-    return 0 if report.ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -287,32 +211,34 @@ def main(argv: Optional[List[str]] = None) -> int:
     protocols = _split(args.protocol, PROTOCOLS, "protocol")
     schedulers = _split(args.scheduler, SCHEDULERS, "scheduler")
     seeds = range(args.base_seed, args.base_seed + args.seeds)
+    progress = _progress if args.verbose else None
 
-    if args.backend_oracle:
-        return _do_backend_oracle(args, protocols, schedulers, seeds)
-    if args.event_oracle:
-        return _do_event_oracle(args, protocols, schedulers, seeds)
-    if args.causal_oracle:
-        return _do_causal_oracle(args, protocols, schedulers, seeds)
+    if args.oracle:
+        if args.oracle == "backend":
+            from repro.batch import NUMPY_HINT, available
 
-    def progress(result: CellResult) -> None:
-        status = "ok" if result.ok else "FAIL"
-        print(
-            f"  {result.protocol} x {result.scheduler} seed={result.seed} "
-            f"size={result.size} steps={result.steps} {status}",
-            flush=True,
+            if not available():
+                print(f"backend oracle skipped: {NUMPY_HINT}")
+                return 0
+        report = run_oracle(
+            args.oracle,
+            protocols,
+            schedulers,
+            seeds,
+            quick=args.quick,
+            progress=progress,
         )
-
-    report = run_matrix(
-        protocols,
-        schedulers,
-        seeds,
-        quick=args.quick,
-        transparency=not args.no_transparency,
-        minimize=not args.no_minimize,
-        obs_dump_dir=args.obs_dump,
-        progress=progress if args.verbose else None,
-    )
+    else:
+        report = run_matrix(
+            protocols,
+            schedulers,
+            seeds,
+            quick=args.quick,
+            transparency=not args.no_transparency,
+            minimize=not args.no_minimize,
+            obs_dump_dir=args.obs_dump,
+            progress=progress,
+        )
     print(report.format(verbose=args.verbose))
     if args.json:
         payload = json.dumps(report.to_json(), indent=2)

@@ -62,6 +62,7 @@ __all__ = [
     "PROTOCOLS",
     "SCHEDULERS",
     "EVENT_ADVERSARIES",
+    "ENGINES",
     "Cell",
     "CELLS",
     "SKIPS",
@@ -97,6 +98,40 @@ SCHEDULERS: Tuple[str, ...] = (
 
 #: The adversaries executed on the free-running event engine.
 EVENT_ADVERSARIES: Tuple[str, ...] = ("event_heavy_tail", "event_delay_spike")
+
+#: The engine table: every engine a cell can be built on, mapped to the
+#: adversaries it *cannot* run, with the reason.  ``build_run`` refuses
+#: those cells and the oracles (:mod:`repro.verify.oracle`) report them
+#: as skips.  ``rounds`` is the classic instant-stepped engine,
+#: ``events`` the event engine (round emulation, or free-running for
+#: the ``event_*`` adversaries) and ``batch`` the numpy engine.
+ENGINES: Dict[str, Dict[str, str]] = {
+    "rounds": {
+        "event_heavy_tail": (
+            "inherently an event-engine cell (free-running heavy-tail "
+            "timing); the round engine has no continuous-time twin"
+        ),
+        "event_delay_spike": (
+            "inherently an event-engine cell (observation-delay model); "
+            "the round engine has no delayed-visibility twin"
+        ),
+    },
+    "events": {},
+    "batch": {
+        "worst_stale": (
+            "the stale-look adversary is a Simulator subclass with "
+            "per-robot Look snapshots; the batch engine has no twin"
+        ),
+        "event_heavy_tail": (
+            "an event-engine cell (free-running continuous-time timing); "
+            "the batch engine has no event twin"
+        ),
+        "event_delay_spike": (
+            "an event-engine cell (observation-delay model); the batch "
+            "engine has no event twin"
+        ),
+    },
+}
 
 #: Maximum Look staleness used by every ``worst_stale`` cell.
 STALE_MAX_DELAY = 2
@@ -483,8 +518,7 @@ def build_run(
     quick: bool = False,
     size_override: Optional[int] = None,
     max_steps_override: Optional[int] = None,
-    backend: str = "scalar",
-    engine: str = "rounds",
+    engine: Optional[str] = None,
     scheduler_factory: Optional[Callable[[], Scheduler]] = None,
 ) -> ScenarioRun:
     """Materialize one cell at one seed.
@@ -493,28 +527,36 @@ def build_run(
     must not matter — that is the transparency invariant) produce the
     identical run.
 
-    ``backend`` selects the simulator implementation (``"scalar"`` or
-    ``"batch"``); every RNG draw happens before the simulator is
-    constructed, so the two backends see the identical scenario — that
-    is what makes :mod:`repro.verify.backends` a differential oracle.
-    ``engine`` selects ``"rounds"`` (the classic instant-stepped
-    engine) or ``"events"`` (the event engine in round-emulation mode:
-    unit phase durations, zero delay) — the twin axis of the
-    :mod:`repro.verify.events` oracle.  The ``event_*`` adversary cells
-    are *inherently* event-engine runs (free-running timing, delay
-    models) and ignore the ``engine`` argument.
+    ``engine`` selects the simulator: ``"rounds"`` (the classic
+    instant-stepped engine), ``"events"`` (the event engine in
+    round-emulation mode: unit phase durations, zero delay) or
+    ``"batch"`` (the numpy engine).  ``None`` picks the cell's native
+    engine: ``events`` for the ``event_*`` adversaries (free-running
+    timing, delay models), ``rounds`` for the rest.  A cell the
+    :data:`ENGINES` table says the engine cannot run raises
+    :class:`~repro.errors.ModelError`.  Every RNG draw happens before
+    the simulator is constructed, so every engine sees the identical
+    scenario — that is what makes :mod:`repro.verify.oracle` a
+    differential oracle.
     ``scheduler_factory``, when given, replaces the cell's scheduler
-    after all seeding draws (the backend oracle uses it to sweep the
+    after all seeding draws (the oracles use it to sweep the
     fair-asynchronous scheduler over cells the static matrix pins to
     full synchrony).
     """
+    adv = cell.scheduler
+    if engine is None:
+        engine = "events" if adv in EVENT_ADVERSARIES else "rounds"
+    if engine not in ENGINES:
+        raise ModelError(f"unknown engine {engine!r} (choose from {tuple(ENGINES)})")
+    if adv in ENGINES[engine]:
+        raise ModelError(f"engine {engine!r} cannot run {adv}: {ENGINES[engine][adv]}")
+
     # zlib.crc32, not hash(): string hashing is salted per process and
     # would make the "same seed, same run" reproduction promise a lie.
     cell_tag = zlib.crc32(f"{cell.protocol}/{cell.scheduler}".encode("ascii"))
     rng = random.Random((seed * 1_000_003) ^ cell_tag)
     bp = _blueprint(cell, rng, quick, size_override)
     count = len(bp.positions)
-    adv = cell.scheduler
 
     # -- adversary wiring (all draws below stay on the same rng so the
     #    caching on/off pair sees the identical sequence) --------------
@@ -610,16 +652,9 @@ def build_run(
     ]
     if scheduler_factory is not None and scheduler is not None:
         scheduler = scheduler_factory()
-    if engine not in ("rounds", "events"):
-        raise ModelError(f"unknown engine {engine!r} (choose rounds or events)")
     if adv in EVENT_ADVERSARIES:
         from repro.events.engine import EventSimulator
 
-        if backend != "scalar":
-            raise ModelError(
-                f"the {adv} adversary runs on the event engine, which is "
-                f"scalar-only; backend {backend!r} has no twin"
-            )
         sim: Simulator = EventSimulator(
             robots,
             None,
@@ -629,11 +664,6 @@ def build_run(
             caching=caching,
         )
     elif adv == "worst_stale":
-        if backend != "scalar":
-            raise ModelError(
-                "the worst_stale adversary is a scalar Simulator subclass; "
-                f"backend {backend!r} has no stale-look twin"
-            )
         if engine == "events":
             from repro.verify.adversaries import SawtoothStaleEventSimulator
 
@@ -648,25 +678,18 @@ def build_run(
         from repro.events.engine import EventSimulator
         from repro.events.timing import TimingModel
 
-        if backend != "scalar":
-            raise ModelError(
-                "engine='events' runs on the scalar backend only; "
-                f"got backend {backend!r}"
-            )
         sim = EventSimulator(
             robots,
             scheduler,
             timing=TimingModel.round_emulation(),
             caching=caching,
         )
-    elif backend == "batch":
+    elif engine == "batch":
         from repro.batch.engine import BatchSimulator
 
         sim = BatchSimulator(robots, scheduler, caching=caching)
-    elif backend == "scalar":
-        sim = Simulator(robots, scheduler, caching=caching)
     else:
-        raise ModelError(f"unknown backend {backend!r} (choose scalar or batch)")
+        sim = Simulator(robots, scheduler, caching=caching)
 
     # -- traffic --------------------------------------------------------
     sent: TrafficMap = {}

@@ -66,6 +66,7 @@ def test_make_simulator_strict_refuses(no_numpy):
 
 
 def test_backend_oracle_cli_skips_cleanly(no_numpy, capsys):
+    """The rounds/batch arm of the one oracle sweep needs numpy."""
     from repro.verify.__main__ import main
 
     assert main(["--backend-oracle", "--quick", "--seeds", "1"]) == 0

@@ -2,7 +2,7 @@
 
 The tentpole claim — the event engine in round-emulation mode is
 *byte-identical* to the round engine — exercised per protocol through
-the :mod:`repro.verify.events` oracle: identical traces, bit streams,
+the rounds/events pair of :mod:`repro.verify.oracle`: identical traces, bit streams,
 final configurations, epochs and monitor verdicts, under both full
 synchrony and a seeded fair-asynchronous scheduler (genuinely partial
 activation).  The full seed fan runs in CI via
@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.model.scheduler import FairAsynchronousScheduler
-from repro.verify.events import compare_cell
+from repro.verify.oracle import compare_cell
 from repro.verify.scenarios import CELLS, PROTOCOLS
 
 pytestmark = [pytest.mark.events, pytest.mark.verify]
@@ -24,7 +24,7 @@ pytestmark = [pytest.mark.events, pytest.mark.verify]
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_synchronous_cells_are_byte_identical(protocol):
     cell = CELLS[(protocol, "synchronous")]
-    result = compare_cell(cell, seed=5, quick=True)
+    result = compare_cell(cell, seed=5, engines=("rounds", "events"), quick=True)
     assert result.ok, (result.problems, result.error)
     assert result.steps > 0
 
@@ -35,6 +35,7 @@ def test_fair_async_partial_activation_is_byte_identical(protocol):
     result = compare_cell(
         cell,
         seed=8,
+        engines=("rounds", "events"),
         quick=True,
         scheduler_factory=lambda: FairAsynchronousScheduler(seed=97),
         variant="fair_async",
