@@ -5,16 +5,25 @@ perf layer with whole-swarm array passes:
 
 * small swarms (``n <= brute_limit``) use a chunked brute-force
   distance matrix — simple, exact, cache-friendly;
-* large swarms use grid binning: points are bucketed into square
-  cells of roughly one point each, candidates are gathered from the
-  3x3 cell window with one padded fancy-index per offset, and any
-  point whose window could not certify its true nearest neighbour
-  (found distance exceeds the cell size, or an overfull neighbour
-  cell) falls back to chunked brute force for just that residue.
+* large swarms use a ring-expanding grid search: points are bucketed
+  into square cells of roughly one point each, and candidates are
+  gathered ring by ring around each point's cell, one padded
+  fancy-index per cell offset, for just the points not yet certified.
 
-The guarantee behind the 3x3 window: a point inside cell ``(i, j)``
-is at distance >= ``cell`` from everything outside the window, so a
-candidate found at distance <= ``cell`` is certainly the true nearest.
+The certification rule: rings ``0..k`` cover the ``(2k+1) x (2k+1)``
+window of cells around a point's cell, and every point outside that
+window is at least ``k * cell`` away.  So once a point's best squared
+distance is ``<= (k * cell)**2`` it is exact, and the point stops
+searching.  A point that already has a candidate at distance ``d``
+needs at most ``ceil(d / cell)`` rings in all.
+
+Two cases still fall back to chunked brute force, for just that
+residue: points whose window touches an *overfull* cell (more than
+``_CELL_CAP`` points: dense clusters), and points still uncertified
+after ``_RING_CAP`` rings (far outliers).
+
+Every path computes a pair's squared distance with the same float
+operations, so ``dist_sq`` does not depend on which path found it.
 
 ``exact_min_hypot`` exists for bit-parity with the scalar engine:
 ``numpy.hypot`` and ``math.hypot`` may differ in the last ulp, so the
@@ -121,13 +130,23 @@ def _brute(np, qx, qy, qidx, px, py, budget: int = 4_000_000):
 
 
 # ----------------------------------------------------------------------
-# Grid binning
+# Grid binning with ring-expanding search
 # ----------------------------------------------------------------------
 
 #: cap on candidates gathered per neighbour cell; denser cells push
 #: their *queriers* onto the brute-force residue instead of widening
 #: the padded gather
 _CELL_CAP = 64
+
+#: rings searched around a point's own cell (ring ``k`` is the border
+#: of the ``(2k+1)^2`` window) before the point falls back to brute force
+_RING_CAP = 8
+
+
+def _ring(k):
+    """Cell offsets at Chebyshev distance exactly ``k`` (ring 0 is ``(0, 0)``)."""
+    edge = range(-k, k + 1)
+    return [(ox, oy) for ox in edge for oy in edge if max(abs(ox), abs(oy)) == k]
 
 
 def _grid(np, px, py):
@@ -147,49 +166,61 @@ def _grid(np, px, py):
     iy = np.clip((py - min_y) // cell, 0, side - 1).astype(np.int64)
     key = ix * side + iy
     order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
+    counts = np.bincount(key, minlength=side * side)
+    starts = np.cumsum(counts) - counts
 
     best = np.full(n, np.inf, dtype=np.float64)
     bestj = np.full(n, -1, dtype=np.int64)
     overfull = np.zeros(n, dtype=bool)
-    self_idx = np.arange(n, dtype=np.int64)
 
-    for ox in (-1, 0, 1):
-        for oy in (-1, 0, 1):
-            nx = ix + ox
-            ny = iy + oy
+    # Rings 0..k cover the (2k+1)^2 window around a point's cell, and
+    # everything outside that window is at least k * cell away, so a
+    # best distance <= k * cell is exact.  Only the points not yet
+    # certified get the next ring; once a point has a candidate it needs
+    # at most ceil(sqrt(best) / cell) rings in all.
+    active = np.arange(n, dtype=np.int64)
+    for k in range(_RING_CAP + 1):
+        qx = px[active]
+        qy = py[active]
+        qix = ix[active]
+        qiy = iy[active]
+        for ox, oy in _ring(k):
+            nx = qix + ox
+            ny = qiy + oy
             valid = (nx >= 0) & (nx < side) & (ny >= 0) & (ny < side)
-            nkey = nx * side + ny
-            start = np.searchsorted(sorted_keys, nkey, side="left")
-            end = np.searchsorted(sorted_keys, nkey, side="right")
-            count = np.where(valid, end - start, 0)
+            nkey = np.where(valid, nx * side + ny, 0)
+            count = np.where(valid, counts[nkey], 0)
             over = count > _CELL_CAP
-            overfull |= over
+            overfull[active[over]] = True
             count = np.where(over, 0, count)
             cap = int(count.max()) if len(count) else 0
             if cap == 0:
                 continue
             lanes = np.arange(cap, dtype=np.int64)
-            slots = start[:, None] + lanes[None, :]
             take = lanes[None, :] < count[:, None]
-            slots = np.where(take, slots, 0)
+            slots = np.where(take, starts[nkey][:, None] + lanes[None, :], 0)
             cand = order[slots]
-            cdx = px[cand] - px[:, None]
-            cdy = py[cand] - py[:, None]
+            cdx = px[cand] - qx[:, None]
+            cdy = py[cand] - qy[:, None]
             d2 = cdx * cdx + cdy * cdy
             d2[~take] = np.inf
-            d2[cand == self_idx[:, None]] = np.inf
+            if k == 0:
+                d2[cand == active[:, None]] = np.inf
             lane = d2.argmin(axis=1)
-            val = d2[self_idx, lane]
-            upd = val < best
-            best[upd] = val[upd]
-            bestj[upd] = cand[upd, lane[upd]]
+            val = d2[np.arange(len(active)), lane]
+            upd = val < best[active]
+            best[active[upd]] = val[upd]
+            bestj[active[upd]] = cand[upd, lane[upd]]
+        reach = k * cell
+        active = active[~(overfull[active] | (best[active] <= reach * reach))]
+        if len(active) == 0:
+            break
 
-    # Certified iff a candidate was found within one cell width; the
-    # rest (sparse outskirts, overfull clusters) go to brute force.
-    unresolved = overfull | ~(best <= cell * cell)
-    if unresolved.any():
-        ridx = np.nonzero(unresolved)[0]
+    # Brute-force residue: points next to an overfull cell (dense
+    # clusters), and points still uncertified after _RING_CAP rings
+    # (far outliers).
+    ridx = np.concatenate([np.nonzero(overfull)[0], active])
+    if len(ridx):
         rb, rj = _brute(np, px[ridx], py[ridx], ridx, px, py)
         best[ridx] = rb
         bestj[ridx] = rj
