@@ -19,7 +19,8 @@ from __future__ import annotations
 from repro.apps.harness import ring_positions
 from repro.errors import ReproError
 from repro.model.robot import Robot
-from repro.noise.simulator import NoisyObservationSimulator
+from repro.model.simulator import Simulator
+from repro.model.world import GaussianNoise
 from repro.protocols.sync_granular import SyncGranularProtocol
 
 # Support running as a standalone script (python benchmarks/bench_x.py).
@@ -58,7 +59,7 @@ def scattered_delivery_rate(n: int, noise: float, seeds=range(5)) -> float:
             )
             for i, p in enumerate(positions)
         ]
-        sim = NoisyObservationSimulator(robots, noise_std=noise, seed=seed)
+        sim = Simulator(robots, look=GaussianNoise(noise, seed=seed))
         robots[0].protocol.send_bits(2, BITS)
         try:
             sim.run(2 * len(BITS) + 4)
@@ -92,7 +93,7 @@ def delivery_rate(noise: float, robust: bool) -> float:
             )
             for i, p in enumerate(positions)
         ]
-        sim = NoisyObservationSimulator(robots, noise_std=noise, seed=seed)
+        sim = Simulator(robots, look=GaussianNoise(noise, seed=seed))
         robots[0].protocol.send_bits(2, BITS)
         try:
             sim.run(2 * len(BITS) + 4)
@@ -118,11 +119,10 @@ def async_delivery_rate(noise: float, robust: bool) -> float:
             Robot(position=p, protocol=AsyncTwoProtocol(**kwargs), sigma=10.0)
             for p in (Vec2(0.0, 0.0), Vec2(10.0, 0.0))
         ]
-        sim = NoisyObservationSimulator(
+        sim = Simulator(
             robots,
-            noise_std=noise,
-            seed=seed,
-            scheduler=FairAsynchronousScheduler(fairness_bound=4, seed=seed),
+            FairAsynchronousScheduler(fairness_bound=4, seed=seed),
+            look=GaussianNoise(noise, seed=seed),
         )
         robots[0].protocol.send_bits(1, BITS)
         try:

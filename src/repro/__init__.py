@@ -69,6 +69,7 @@ from repro.model import (
     Trace,
     TracePolicy,
 )
+from repro.model.world import GaussianNoise, StaleLook
 from repro.perf import CachedGeometry, PerfStats, SpatialHashGrid
 from repro.naming import (
     common_naming_is_impossible,
@@ -120,19 +121,15 @@ from repro.analysis import (
 from repro.visibility import (
     FloodRouter,
     LocalGranularProtocol,
-    VisibilitySimulator,
     visibility_graph,
     visibility_is_connected,
 )
 from repro.discrete import (
     HexLattice,
     LatticeLogKProtocol,
-    LatticeSimulator,
     SquareLattice,
 )
 from repro.stabilization import EpochGranularProtocol
-from repro.corda import StaleLookSimulator
-from repro.noise import NoisyObservationSimulator
 
 __version__ = "1.0.0"
 
@@ -220,7 +217,6 @@ __all__ = [
     "svg_trace",
     "write_svg",
     # visibility (Section 5 extension)
-    "VisibilitySimulator",
     "LocalGranularProtocol",
     "FloodRouter",
     "visibility_graph",
@@ -228,11 +224,10 @@ __all__ = [
     # discrete worlds (Section 5 extension)
     "SquareLattice",
     "HexLattice",
-    "LatticeSimulator",
     "LatticeLogKProtocol",
     # stabilization (Section 5 extension)
     "EpochGranularProtocol",
-    # partial synchrony & sensing noise (Section 5 extensions)
-    "StaleLookSimulator",
-    "NoisyObservationSimulator",
+    # partial synchrony & sensing noise (Section 5 look transforms)
+    "StaleLook",
+    "GaussianNoise",
 ]

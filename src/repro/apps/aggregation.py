@@ -24,10 +24,10 @@ from repro.channels.transport import MovementChannel
 from repro.errors import ProtocolError
 from repro.geometry.vec import Vec2
 from repro.model.robot import Robot
+from repro.model.simulator import Simulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.visibility.flooding import FloodRouter
 from repro.visibility.protocol import LocalGranularProtocol
-from repro.visibility.simulator import VisibilitySimulator
 
 __all__ = ["AggregationResult", "converge_cast", "converge_cast_limited_visibility"]
 
@@ -147,7 +147,7 @@ def converge_cast_limited_visibility(
         )
         for i, p in enumerate(positions)
     ]
-    simulator = VisibilitySimulator(robots, visibility_radius=visibility_radius)
+    simulator = Simulator(robots, visibility_radius=visibility_radius)
     routers = [FloodRouter(MovementChannel(r.protocol)) for r in robots]
 
     for i in range(n):

@@ -103,9 +103,9 @@ def supports(robots: Sequence, scheduler=None) -> bool:
     """Whether the batch engine can host this swarm at all.
 
     The batch engine implements the base SSM model (unlimited
-    visibility, continuous plane).  Model-variant simulators (CORDA
-    stale looks, limited visibility, discrete worlds) have no batch
-    port yet and must stay scalar.
+    visibility, continuous plane, exact live looks).  The batch kernel
+    has no world-model path (visibility radius, look transform or
+    lattice), so weakened worlds stay on the scalar engines.
     """
     if not available():
         return False
@@ -190,8 +190,8 @@ def make_simulator(
         if not swarm_supported(robots):
             if strict:
                 raise ValueError(
-                    "the batch backend cannot host this swarm "
-                    "(model-variant simulator required); use backend='scalar'"
+                    "the batch backend cannot host this swarm (see "
+                    "repro.batch.engine.swarm_supported); use backend='scalar'"
                 )
             return Simulator(
                 robots, scheduler, caching=caching, trace_policy=trace_policy

@@ -65,8 +65,9 @@ def swarm_supported(robots: Sequence[Robot]) -> bool:
     visibility, continuous plane); any nonempty swarm of plain
     :class:`~repro.model.robot.Robot` specs runs — conforming
     granular swarms in kernel mode, everything else in object mode.
-    Model *variants* (limited visibility, stale looks, lattices) have
-    their own simulator subclasses and stay on the scalar backend.
+    Weakened worlds (a visibility radius, a look transform, a lattice)
+    are :class:`~repro.model.simulator.Simulator` arguments the batch
+    kernel has no path for; they stay on the scalar engines.
     """
     return len(robots) > 0
 

@@ -29,9 +29,10 @@ Two operating modes, selected by the
   against the round engine run unchanged.
 
 The engine subclasses the round simulator, so the whole extension
-surface (``_constrain_destination``, step listeners, phase hooks,
-``displace`` fault injection, observation caching) is inherited; only
-the activation machinery and the Look configuration source
+surface (the world model — ``visibility_radius``, ``look`` and
+``lattice`` — step listeners, phase hooks, ``displace`` fault
+injection, observation caching) is inherited; only the activation
+machinery and the Look configuration source
 (:meth:`EventSimulator._config_for_observation`) are overridden.
 
 Huge-swarm extras (both optional, both off by default):
@@ -50,7 +51,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections.abc import Sequence as SequenceABC
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EventError, SchedulerError
 from repro.events.delay import DelayModel, ZeroDelay
@@ -61,7 +62,11 @@ from repro.model.robot import Robot
 from repro.model.scheduler import Scheduler
 from repro.model.simulator import Simulator
 from repro.model.trace import TracePolicy, TraceStep
+from repro.model.world import LookTransform, StaleLook
 from repro.perf.spatial import SpatialHashGrid
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.discrete.lattice import Lattice
 
 __all__ = ["EventSimulator", "PHASES"]
 
@@ -132,8 +137,13 @@ class EventSimulator(Simulator):
             indexed with a spatial hash.
         lazy_views: bind protocols with on-demand initial-position
             views (huge swarms; see the module docstring).
-        caching / trace_policy: forwarded to the base engine.
+        look / lattice / caching / trace_policy: forwarded to the base
+            engine.  A :class:`~repro.model.world.StaleLook` reads stale
+            configurations from the trace, so it cannot be combined
+            with a non-zero delay model.
     """
+
+    _config_error = EventError
 
     def __init__(
         self,
@@ -149,6 +159,8 @@ class EventSimulator(Simulator):
         lazy_views: bool = False,
         caching: bool = True,
         trace_policy: Optional[TracePolicy] = None,
+        look: Optional[LookTransform] = None,
+        lattice: Optional["Lattice"] = None,
     ) -> None:
         timing = timing if timing is not None else TimingModel.round_emulation()
         if not isinstance(timing, TimingModel):
@@ -161,26 +173,30 @@ class EventSimulator(Simulator):
                 "free-running timing owns the activation schedule; "
                 "pass scheduler=None (or use a scheduler-driven TimingModel)"
             )
-        if visibility_radius is not None and visibility_radius <= 0.0:
+        if isinstance(look, StaleLook) and not delay.is_zero:
             raise EventError(
-                f"visibility_radius must be positive, got {visibility_radius}"
+                "a StaleLook cannot be combined with a non-zero delay model: "
+                "the stale look replays the trace, the delay model the "
+                "per-robot position history"
             )
         # Attributes the base constructor consults must exist first:
-        # _world_visibility_radius() / _compute_visible_from() /
-        # _initial_local_view() all run inside super().__init__.
+        # _compute_visible_from() / _initial_local_view() run inside
+        # super().__init__.
         self._timing = timing
         self._delay = delay
-        self._visibility_radius = visibility_radius
         self._lazy_views = bool(lazy_views)
         self._grid: Optional[SpatialHashGrid] = None
         self._point_index: Dict[Vec2, int] = {}
-        if visibility_radius is not None:
-            self._grid = SpatialHashGrid(cell_size=visibility_radius)
-            for i, robot in enumerate(robots):
-                self._grid.insert(robot.position)
-                self._point_index[robot.position] = i
 
-        super().__init__(robots, scheduler, caching=caching, trace_policy=trace_policy)
+        super().__init__(
+            robots,
+            scheduler,
+            caching=caching,
+            trace_policy=trace_policy,
+            visibility_radius=visibility_radius,
+            look=look,
+            lattice=lattice,
+        )
 
         n = self.count
         self._rngs: List[random.Random] = [
@@ -542,15 +558,20 @@ class EventSimulator(Simulator):
     # ------------------------------------------------------------------
     # Huge-swarm hooks
     # ------------------------------------------------------------------
-    def _world_visibility_radius(self) -> Optional[float]:
-        return self._visibility_radius
-
     def _compute_visible_from(self, index: int) -> frozenset:
-        if self._grid is None:
+        radius = self._visibility_radius
+        if radius is None:
             return super()._compute_visible_from(index)
+        if self._grid is None:
+            # Built on first use: the base constructor validates the
+            # radius before it computes any visibility set.
+            self._grid = SpatialHashGrid(cell_size=radius)
+            for i, anchor in enumerate(self._anchors):
+                self._grid.insert(anchor)
+                self._point_index[anchor] = i
         me = self._anchors[index]
         visible = {index}
-        for point in self._grid.neighbors_within(me, self._visibility_radius):
+        for point in self._grid.neighbors_within(me, radius):
             visible.add(self._point_index[point])
         return frozenset(visible)
 

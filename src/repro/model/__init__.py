@@ -17,6 +17,9 @@ Public surface:
 * Schedulers: synchronous, fair-asynchronous, round-robin, scripted.
 * :class:`~repro.model.simulator.Simulator` — the engine.
 * :class:`~repro.model.trace.Trace` — recorded histories.
+* :class:`~repro.model.world.StaleLook` /
+  :class:`~repro.model.world.GaussianNoise` — the Section 5 look
+  transforms (stale looks, sensing noise).
 """
 
 from repro.model.robot import Robot
@@ -31,6 +34,7 @@ from repro.model.scheduler import (
 )
 from repro.model.simulator import Simulator
 from repro.model.trace import Trace, TracePolicy, TraceStep
+from repro.model.world import GaussianNoise, StaleLook
 
 __all__ = [
     "Robot",
@@ -47,4 +51,6 @@ __all__ = [
     "Trace",
     "TracePolicy",
     "TraceStep",
+    "StaleLook",
+    "GaussianNoise",
 ]

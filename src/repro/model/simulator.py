@@ -38,7 +38,7 @@ and observable through :attr:`Simulator.stats`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, SchedulerError
 from repro.geometry.vec import Vec2
@@ -47,8 +47,12 @@ from repro.model.protocol import BindingInfo
 from repro.model.robot import Robot
 from repro.model.scheduler import Scheduler, SynchronousScheduler
 from repro.model.trace import Trace, TracePolicy, TraceStep
+from repro.model.world import LookTransform
 from repro.perf.cache import CachedGeometry
 from repro.perf.counters import PerfStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.discrete.lattice import Lattice
 
 __all__ = ["Simulator"]
 
@@ -88,12 +92,25 @@ class Simulator:
         trace_policy: optional memory bound for the recorded trace
             (ring buffer / stride sampling; see
             :class:`~repro.model.trace.TracePolicy`).
+        visibility_radius: limited visibility (world units, positive):
+            observations and the bound ``P(t_0)`` knowledge only cover
+            robots within this range of the observer.  None (default)
+            is the paper's unlimited visibility.
+        look: a look transform (:mod:`repro.model.world`) applied to
+            every Look's configuration — stale looks or sensing noise.
+        lattice: the move transform of a discrete world
+            (:mod:`repro.discrete`): start positions must be lattice
+            points and every destination is snapped onto the lattice.
 
     The constructor *binds* every protocol: each robot learns its
     tracking index, the swarm size, its movement bound in local units,
     the initial configuration ``P(t_0)`` expressed in its stationary
     private frame, and (in identified systems) the observable IDs.
     """
+
+    #: Error type of the ``visibility_radius`` check (the event engine
+    #: reports its construction errors as ``EventError``).
+    _config_error = ModelError
 
     def __init__(
         self,
@@ -102,7 +119,21 @@ class Simulator:
         *,
         caching: bool = True,
         trace_policy: Optional[TracePolicy] = None,
+        visibility_radius: Optional[float] = None,
+        look: Optional[LookTransform] = None,
+        lattice: Optional["Lattice"] = None,
     ) -> None:
+        if visibility_radius is not None and visibility_radius <= 0.0:
+            raise self._config_error(
+                f"visibility_radius must be positive, got {visibility_radius}"
+            )
+        if lattice is not None:
+            for i, robot in enumerate(robots):
+                if not lattice.is_lattice_point(robot.position):
+                    raise ModelError(
+                        f"robot {i} starts at {robot.position!r}, "
+                        "which is not a lattice point"
+                    )
         if not robots:
             raise ModelError("a simulation needs at least one robot")
         protocols = [r.protocol for r in robots]
@@ -136,6 +167,11 @@ class Simulator:
             initial_positions=tuple(positions),
             policy=trace_policy if trace_policy is not None else TracePolicy(),
         )
+        self._visibility_radius = visibility_radius
+        self._lattice = lattice
+        self._look = look
+        if look is not None:
+            look.bind(self)
 
         # --- hot-path state -------------------------------------------
         self._caching = bool(caching)
@@ -150,7 +186,7 @@ class Simulator:
         # visibility every robot sees the same full set, so one shared
         # frozenset/tuple serves all n robots — O(n) memory instead of
         # the O(n²) that made 10k-robot swarms impossible to build.
-        if self._world_visibility_radius() is None:
+        if visibility_radius is None:
             full_set = frozenset(range(len(self._robots)))
             full_list = tuple(range(len(self._robots)))
             self._visible_sets: Tuple[frozenset, ...] = (full_set,) * len(self._robots)
@@ -185,7 +221,6 @@ class Simulator:
         self._robot_phase_hook: Optional[Callable[[str, int, int], None]] = None
 
         observable_ids = tuple(ids) if self._identified else None
-        world_visibility = self._world_visibility_radius()
         for index, robot in enumerate(self._robots):
             visible = self._visible_from(index)
             initial_local = self._initial_local_view(index, robot, visible, positions)
@@ -197,8 +232,8 @@ class Simulator:
                     initial_positions=initial_local,
                     observable_ids=observable_ids,
                     visibility_radius=(
-                        world_visibility / robot.frame.scale
-                        if world_visibility is not None
+                        visibility_radius / robot.frame.scale
+                        if visibility_radius is not None
                         else None
                     ),
                 )
@@ -241,6 +276,16 @@ class Simulator:
     def stats(self) -> PerfStats:
         """Live performance counters of the caching layer."""
         return self._stats
+
+    @property
+    def look(self) -> Optional[LookTransform]:
+        """The look transform of this world (None: exact, live looks)."""
+        return self._look
+
+    @property
+    def lattice(self) -> Optional["Lattice"]:
+        """The lattice of a discrete world (None: the continuous plane)."""
+        return self._lattice
 
     @property
     def caching_enabled(self) -> bool:
@@ -473,13 +518,14 @@ class Simulator:
     # Internals / extension hooks
     # ------------------------------------------------------------------
     def _constrain_destination(self, index: int, destination: Vec2) -> Vec2:
-        """Environment-level movement constraint hook.
+        """The move transform: where a clamped destination lands.
 
-        The base model is the continuous plane (identity).  The
-        Section 5 discrete worlds (:mod:`repro.discrete`) override this
-        to snap destinations onto a lattice.
+        The continuous plane keeps it as is; a discrete world (the
+        ``lattice`` argument) snaps it onto the nearest lattice point.
         """
-        return destination
+        if self._lattice is None:
+            return destination
+        return self._lattice.snap(destination)
 
     def _initial_local_view(
         self,
@@ -504,18 +550,9 @@ class Simulator:
             for i, p in enumerate(positions)
         )
 
-    def _world_visibility_radius(self) -> Optional[float]:
-        """Visibility range in world units; None means unlimited.
-
-        The base simulator implements the paper's default model (every
-        robot sees every robot); :class:`repro.visibility.simulator.
-        VisibilitySimulator` overrides this.
-        """
-        return None
-
     def _compute_visible_from(self, index: int) -> frozenset:
         """Visibility of ``index`` from scratch (anchors only)."""
-        radius = self._world_visibility_radius()
+        radius = self._visibility_radius
         if radius is None:
             return frozenset(range(self.count))
         me = self._anchors[index]
@@ -536,19 +573,23 @@ class Simulator:
         return self._compute_visible_from(index)
 
     def _config_for_observation(self, index: int) -> Sequence[Vec2]:
-        """The configuration an activation's Look phase returns.
+        """The configuration the engine serves a Look, before the
+        world's look transform is applied.
 
-        The SSM default is the instantaneous ``P(t_j)``; the CORDA-style
-        :class:`repro.corda.simulator.StaleLookSimulator` overrides this
-        with a (boundedly) stale configuration.
+        The round engine serves the instantaneous ``P(t_j)``; the event
+        engine overrides this to serve delayed observations.  Stale
+        looks and sensing noise are look transforms
+        (:mod:`repro.model.world`), applied on top by :meth:`_observe`.
         """
         return self._positions
 
     def _observe(self, index: int) -> Observation:
-        # Subclass hooks may have side effects (stale-look bookkeeping,
+        # Look transforms have side effects (stale-look bookkeeping,
         # noise RNG draws), so the config is fetched unconditionally —
-        # caching must never change how often hooks run.
+        # caching must never change how often they run.
         config = self._config_for_observation(index)
+        if self._look is not None:
+            config = self._look(index, config)
         if not self._caching:
             return self._observe_uncached(index, config)
 

@@ -40,7 +40,8 @@ class ChangeWatcher:
     change is always relative to the previous sighting, not to the leg
     boundary.
 
-    Under noisy sensing (:mod:`repro.noise`) exact comparison would
+    Under noisy sensing (:class:`~repro.model.world.GaussianNoise`) exact
+    comparison would
     count jitter as movement; ``min_change`` debounces the detector —
     only displacements beyond it count, and the reference position is
     only advanced when a change registers (so noise cannot "walk" the

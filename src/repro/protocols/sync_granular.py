@@ -61,7 +61,8 @@ class SyncGranularProtocol(Protocol):
         dilation: instants each signal position is held for.  With the
             default 1 this is exactly the paper's protocol.  Dilation
             ``d+1`` makes transmissions robust to boundedly-stale
-            (CORDA-style, :mod:`repro.corda`) observations with lag at
+            (CORDA-style, :class:`~repro.model.world.StaleLook`) observations
+            with lag at
             most ``d``: a monotone look sequence that lags by at most
             ``d`` cannot jump over a phase of ``d+1`` instants, so no
             observer can skip an excursion or a return.
@@ -69,7 +70,8 @@ class SyncGranularProtocol(Protocol):
             this fraction of its granular radius from its home counts
             as idle.  The tiny default assumes exact sensing (the
             paper's model); raise it (e.g. to 0.25) under sensor noise
-            (:mod:`repro.noise`) so jitter does not read as signal.
+            (:class:`~repro.model.world.GaussianNoise`) so jitter does
+            not read as signal.
         tolerate_ambiguity: noisy-sensing mode — skip sightings that
             fall between diameters instead of raising, leaving the
             decoder armed for the next look.

@@ -4,9 +4,10 @@ The paper proves its protocols against *every* legal SSM schedule; the
 test suite, by construction, only ever runs a handful of benign ones.
 This package closes that gap with a seeded property-test harness:
 
-* a zoo of adversarial schedulers and observation adversaries
-  (:mod:`repro.verify.schedulers`, :mod:`repro.verify.adversaries`)
-  plus displacement fault plans (:mod:`repro.faults.transient`);
+* a zoo of adversarial schedulers (:mod:`repro.verify.schedulers`),
+  the sawtooth stale-look adversary
+  (:class:`~repro.model.world.StaleLook` with ``lag="sawtooth"``)
+  and displacement fault plans (:mod:`repro.faults.transient`);
 * protocol-agnostic invariant monitors over the live trace stream
   (:mod:`repro.verify.monitors`);
 * a protocol x adversary matrix with per-cell envelopes
@@ -26,7 +27,6 @@ Command line::
     python -m repro.verify --list
 """
 
-from repro.verify.adversaries import SawtoothStaleLookSimulator
 from repro.verify.engine import CellResult, Report, drive, run_cell, run_matrix
 from repro.verify.monitors import (
     CollisionFreedomMonitor,
@@ -88,7 +88,6 @@ __all__ = [
     "BoundedUnfairScheduler",
     "BurstScheduler",
     "CrashScheduler",
-    "SawtoothStaleLookSimulator",
     # mutants
     "MUTANTS",
     "MutantResult",

@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.geometry.vec import Vec2
 from repro.model.simulator import Simulator
 from repro.model.trace import TraceStep
+from repro.model.world import StaleLook
 
 __all__ = [
     "Violation",
@@ -331,9 +332,10 @@ class SchedulerContractMonitor(InvariantMonitor):
 class StalenessContractMonitor(InvariantMonitor):
     """Stale looks must be monotone and boundedly old.
 
-    For CORDA-style runs: every robot's look time never decreases (a
-    robot never un-sees) and an activated robot's look lags the
-    present by at most ``max_delay`` instants.
+    For runs whose world has a :class:`~repro.model.world.StaleLook`
+    (CORDA-style): every robot's look time never decreases (a robot
+    never un-sees) and an activated robot's look lags the present by
+    at most ``max_delay`` instants.  Other worlds are not checked.
     """
 
     name = "staleness"
@@ -343,10 +345,11 @@ class StalenessContractMonitor(InvariantMonitor):
         self._previous_looks: Optional[List[int]] = None
 
     def on_step(self, sim: Simulator, step: TraceStep) -> None:
-        max_delay = getattr(sim, "max_delay", None)
-        look_of = getattr(sim, "look_time_of", None)
-        if max_delay is None or look_of is None:
+        look = sim.look
+        if not isinstance(look, StaleLook):
             return
+        max_delay = look.max_delay
+        look_of = look.look_time_of
         count = sim.count
         if self._previous_looks is None:
             self._previous_looks = [0] * count

@@ -17,7 +17,7 @@ the kind of regression a refactor could plausibly introduce:
 ``slow``        the sender holds excursions twice as long (*two-per-bit*)
 ``rammer``      one robot steers onto another (*collision*)
 ``starver``     a scheduler breaks its declared fairness (*scheduler*)
-``amnesiac``    a stale-look engine rewinds look times (*staleness*)
+``amnesiac``    a stale look rewinds its look times (*staleness*)
 ==============  ====================================================
 """
 
@@ -34,8 +34,8 @@ from repro.model.protocol import BitEvent
 from repro.model.robot import Robot
 from repro.model.scheduler import Scheduler, SynchronousScheduler
 from repro.model.simulator import Simulator
+from repro.model.world import StaleLook
 from repro.protocols.sync_granular import SyncGranularProtocol
-from repro.verify.adversaries import SawtoothStaleLookSimulator
 from repro.verify.monitors import (
     CollisionFreedomMonitor,
     InvariantMonitor,
@@ -130,12 +130,12 @@ class _StarvingScheduler(Scheduler):
         return frozenset({0})
 
 
-class _AmnesiacStaleSimulator(SawtoothStaleLookSimulator):
+class _AmnesiacStaleLook(StaleLook):
     """Periodically rewinds a robot's look clock: the robot un-sees."""
 
-    def _config_for_observation(self, index: int):
-        config = super()._config_for_observation(index)
-        if self.time >= 4 and self.time % 4 == 0:
+    def __call__(self, index: int, config):
+        config = super().__call__(index, config)
+        if self._sim.time >= 4 and self._sim.time % 4 == 0:
             self._look_times[index] = 0
         return config
 
@@ -196,7 +196,11 @@ def _build(mutant: str) -> Tuple[Simulator, List[InvariantMonitor]]:
         robots = _swarm(
             lambda: SyncGranularProtocol(naming="identified", dilation=3)
         )
-        sim = _AmnesiacStaleSimulator(robots, 2, scheduler=SynchronousScheduler())
+        sim = Simulator(
+            robots,
+            SynchronousScheduler(),
+            look=_AmnesiacStaleLook(2, lag="sawtooth"),
+        )
         monitors = [StalenessContractMonitor()]
     else:
         protocol_cls = {
@@ -241,7 +245,7 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
     "slow": ("excursions held twice as long as claimed", "two-per-bit"),
     "rammer": ("one robot steers onto another", "collision"),
     "starver": ("the scheduler breaks its declared fairness", "scheduler"),
-    "amnesiac": ("the stale-look engine rewinds look times", "staleness"),
+    "amnesiac": ("the stale look rewinds its look times", "staleness"),
 }
 
 

@@ -21,7 +21,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.corda.simulator import StaleLookSimulator
 from repro.errors import ModelError
 from repro.faults.transient import TransientDisplacementFault
 from repro.geometry.frames import make_frames
@@ -34,13 +33,13 @@ from repro.model.scheduler import (
     SynchronousScheduler,
 )
 from repro.model.simulator import Simulator
+from repro.model.world import StaleLook
 from repro.protocols.async_n import AsyncNProtocol
 from repro.protocols.async_two import AsyncTwoProtocol
 from repro.protocols.flocking import FlockingProtocol
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.protocols.sync_logk import SyncLogKProtocol
 from repro.protocols.sync_two import SyncTwoProtocol
-from repro.verify.adversaries import SawtoothStaleLookSimulator
 from repro.verify.monitors import (
     CollisionFreedomMonitor,
     InvariantMonitor,
@@ -119,8 +118,9 @@ ENGINES: Dict[str, Dict[str, str]] = {
     "events": {},
     "batch": {
         "worst_stale": (
-            "the stale-look adversary is a Simulator subclass with "
-            "per-robot Look snapshots; the batch engine has no twin"
+            "the stale-look adversary is a look transform replaying "
+            "per-robot trace snapshots; the batch kernel has no "
+            "look-transform path"
         ),
         "event_heavy_tail": (
             "an event-engine cell (free-running continuous-time timing); "
@@ -652,6 +652,11 @@ def build_run(
     ]
     if scheduler_factory is not None and scheduler is not None:
         scheduler = scheduler_factory()
+    # The worst-case stale looks: the sawtooth lag policy (see
+    # :class:`~repro.model.world.StaleLook`).
+    look = None
+    if adv == "worst_stale":
+        look = StaleLook(STALE_MAX_DELAY, lag="sawtooth")
     if adv in EVENT_ADVERSARIES:
         from repro.events.engine import EventSimulator
 
@@ -663,17 +668,6 @@ def build_run(
             seed=seed * 9_176 + 5,
             caching=caching,
         )
-    elif adv == "worst_stale":
-        if engine == "events":
-            from repro.verify.adversaries import SawtoothStaleEventSimulator
-
-            sim = SawtoothStaleEventSimulator(
-                robots, STALE_MAX_DELAY, scheduler=scheduler, caching=caching
-            )
-        else:
-            sim = SawtoothStaleLookSimulator(
-                robots, STALE_MAX_DELAY, scheduler=scheduler, caching=caching
-            )
     elif engine == "events":
         from repro.events.engine import EventSimulator
         from repro.events.timing import TimingModel
@@ -683,13 +677,14 @@ def build_run(
             scheduler,
             timing=TimingModel.round_emulation(),
             caching=caching,
+            look=look,
         )
     elif engine == "batch":
         from repro.batch.engine import BatchSimulator
 
         sim = BatchSimulator(robots, scheduler, caching=caching)
     else:
-        sim = Simulator(robots, scheduler, caching=caching)
+        sim = Simulator(robots, scheduler, caching=caching, look=look)
 
     # -- traffic --------------------------------------------------------
     sent: TrafficMap = {}

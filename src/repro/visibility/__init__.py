@@ -8,9 +8,10 @@
 This subpackage answers the question positively for *connected*
 visibility graphs of identified robots with sense of direction:
 
-* :class:`~repro.visibility.simulator.VisibilitySimulator` restricts
-  every observation (and the bound ``P(t_0)`` knowledge) to robots
-  within a visibility radius;
+* the ``visibility_radius`` argument of
+  :class:`~repro.model.simulator.Simulator` restricts every
+  observation (and the bound ``P(t_0)`` knowledge) to robots within a
+  visibility radius;
 * :class:`~repro.visibility.protocol.LocalGranularProtocol` is a
   granular movement protocol that needs only local information — its
   granular radius is derived from *visible* neighbours plus the
@@ -29,7 +30,6 @@ from repro.visibility.graph import (
     visibility_neighbors,
 )
 from repro.visibility.protocol import LocalGranularProtocol
-from repro.visibility.simulator import VisibilitySimulator
 from repro.visibility.flooding import FloodRouter, RoutedMessage
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "visibility_neighbors",
     "visibility_is_connected",
     "shortest_route",
-    "VisibilitySimulator",
     "LocalGranularProtocol",
     "FloodRouter",
     "RoutedMessage",

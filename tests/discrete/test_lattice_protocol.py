@@ -8,10 +8,10 @@ import pytest
 
 from repro.discrete.lattice import HexLattice, SquareLattice
 from repro.discrete.lattice_protocol import LatticeLogKProtocol
-from repro.discrete.simulator import LatticeSimulator
 from repro.errors import ModelError, ProtocolError
 from repro.geometry.vec import Vec2
 from repro.model.robot import Robot
+from repro.model.simulator import Simulator
 from repro.protocols.sync_granular import SyncGranularProtocol
 
 
@@ -29,7 +29,7 @@ def square_swarm(count: int = 6, k: int = 3, spacing: float = 12.0):
         )
         for i, p in enumerate(positions)
     ]
-    return LatticeSimulator(robots, lattice), robots
+    return Simulator(robots, lattice=lattice), robots
 
 
 class TestLatticeSimulator:
@@ -40,7 +40,7 @@ class TestLatticeSimulator:
             Robot(position=Vec2(5.0, 0.0), protocol=SyncGranularProtocol(), observable_id=1),
         ]
         with pytest.raises(ModelError):
-            LatticeSimulator(robots, lattice)
+            Simulator(robots, lattice=lattice)
 
     def test_destinations_snapped(self):
         sim, robots = square_swarm()
@@ -93,7 +93,7 @@ class TestLatticeLogKProtocol:
             )
             for i, p in enumerate(positions)
         ]
-        sim = LatticeSimulator(robots, lattice)
+        sim = Simulator(robots, lattice=lattice)
         robots[1].protocol.send_bits(2, [0, 1])
         sim.run(40)
         assert [e.bit for e in robots[2].protocol.received] == [0, 1]
@@ -112,7 +112,7 @@ class TestLatticeLogKProtocol:
             for i, p in enumerate(positions)
         ]
         with pytest.raises(ProtocolError):
-            LatticeSimulator(robots, lattice)
+            Simulator(robots, lattice=lattice)
 
     def test_all_pairs_chatter_on_lattice(self):
         sim, robots = square_swarm(count=6, k=3)

@@ -8,7 +8,8 @@ from repro.apps.harness import ring_positions
 from repro.errors import ModelError, ProtocolError, ReproError
 from repro.geometry.vec import Vec2
 from repro.model.robot import Robot
-from repro.noise.simulator import NoisyObservationSimulator
+from repro.model.simulator import Simulator
+from repro.model.world import GaussianNoise
 from repro.protocols.sync_granular import SyncGranularProtocol
 
 BITS = [1, 0, 1]
@@ -26,7 +27,7 @@ def build(noise: float, seed: int = 0, robust: bool = True):
         )
         for i, p in enumerate(positions)
     ]
-    return NoisyObservationSimulator(robots, noise_std=noise, seed=seed), robots
+    return Simulator(robots, look=GaussianNoise(noise, seed=seed)), robots
 
 
 class TestSimulator:

@@ -19,7 +19,6 @@ from repro.model.protocol import BitEvent, Protocol
 from repro.model.robot import Robot
 from repro.model.simulator import Simulator
 from repro.apps.harness import ring_positions
-from repro.visibility.simulator import VisibilitySimulator
 
 
 class Still(Protocol):
@@ -155,7 +154,7 @@ class TestVisibilityCache:
             Robot(position=Vec2(6.0 * i, 0.0), protocol=Still(), sigma=2.0)
             for i in range(5)
         ]
-        sim = VisibilitySimulator(robots, visibility_radius=7.0)
+        sim = Simulator(robots, visibility_radius=7.0)
         for i in range(sim.count):
             assert sim._visible_from(i) == sim._compute_visible_from(i)
             assert i in sim._visible_from(i)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ModelError
+from repro.events.engine import EventSimulator
 from repro.geometry.vec import Vec2
 from repro.model.observation import Observation
 from repro.model.protocol import Protocol
 from repro.model.robot import Robot
 from repro.model.simulator import Simulator
 from repro.model.trace import TracePolicy
-from repro.corda.simulator import StaleLookSimulator
+from repro.model.world import StaleLook
 from repro.protocols.sync_granular import SyncGranularProtocol
 from repro.apps.harness import ring_positions
 
@@ -24,6 +25,10 @@ class Drift(Protocol):
 
     def _compute(self, observation: Observation) -> Vec2:
         return observation.self_position + Vec2(0.5, 0.0)
+
+
+#: The engines that host look transforms: rounds and events.
+ENGINES = (Simulator, EventSimulator)
 
 
 def drifting(count: int = 3, **simulator_kwargs) -> Simulator:
@@ -130,25 +135,27 @@ class TestPolicyOnRealRuns:
             e.bit for e in full.protocol_of(2).received
         ]
 
+    # Both engines, looped rather than pytest-parametrised so each
+    # test keeps its id.
     def test_stale_look_simulator_rejects_starved_policy(self):
-        robots = [
-            Robot(position=p, protocol=Drift(), sigma=1.0)
-            for p in (Vec2(0.0, 0.0), Vec2(8.0, 0.0))
-        ]
-        with pytest.raises(ModelError, match="max_delay"):
-            StaleLookSimulator(
-                robots, max_delay=3, trace_policy=TracePolicy(capacity=2)
-            )
-        with pytest.raises(ModelError, match="max_delay"):
-            StaleLookSimulator(robots, max_delay=1, trace_policy=TracePolicy(stride=2))
+        for build in ENGINES:
+            robots = [
+                Robot(position=p, protocol=Drift(), sigma=1.0)
+                for p in (Vec2(0.0, 0.0), Vec2(8.0, 0.0))
+            ]
+            with pytest.raises(ModelError, match="max_delay"):
+                build(robots, look=StaleLook(3), trace_policy=TracePolicy(capacity=2))
+            with pytest.raises(ModelError, match="max_delay"):
+                build(robots, look=StaleLook(1), trace_policy=TracePolicy(stride=2))
 
     def test_stale_look_simulator_accepts_sufficient_capacity(self):
-        robots = [
-            Robot(position=p, protocol=Drift(), sigma=1.0)
-            for p in (Vec2(0.0, 0.0), Vec2(8.0, 0.0))
-        ]
-        sim = StaleLookSimulator(
-            robots, max_delay=2, seed=3, trace_policy=TracePolicy(capacity=16)
-        )
-        sim.run(30)
-        assert len(sim.trace.steps) <= 16
+        for build in ENGINES:
+            robots = [
+                Robot(position=p, protocol=Drift(), sigma=1.0)
+                for p in (Vec2(0.0, 0.0), Vec2(8.0, 0.0))
+            ]
+            sim = build(
+                robots, look=StaleLook(2, seed=3), trace_policy=TracePolicy(capacity=16)
+            )
+            sim.run(30)
+            assert len(sim.trace.steps) <= 16

@@ -185,7 +185,8 @@ class TestNoiseRobustKnobs:
 
     def test_robust_delivery_under_noise(self):
         from repro.model.robot import Robot
-        from repro.noise.simulator import NoisyObservationSimulator
+        from repro.model.simulator import Simulator
+        from repro.model.world import GaussianNoise
 
         robots = [
             Robot(
@@ -197,11 +198,10 @@ class TestNoiseRobustKnobs:
             )
             for p in (Vec2(0.0, 0.0), Vec2(10.0, 0.0))
         ]
-        sim = NoisyObservationSimulator(
+        sim = Simulator(
             robots,
-            noise_std=0.03,
-            seed=5,
-            scheduler=FairAsynchronousScheduler(fairness_bound=4, seed=5),
+            FairAsynchronousScheduler(fairness_bound=4, seed=5),
+            look=GaussianNoise(0.03, seed=5),
         )
         robots[0].protocol.send_bits(1, [1, 0, 1])
         for _ in range(20_000):

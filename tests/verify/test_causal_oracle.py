@@ -56,7 +56,7 @@ class TestMatrix:
                 assert (p, s, "rounds") not in ran
             else:
                 # worst_stale included: it runs on the event engine
-                # through SawtoothStaleEventSimulator.
+                # with the same sawtooth StaleLook as on rounds.
                 assert (p, s, "rounds") in ran and (p, s, "events") in ran
 
     def test_skips_are_documented(self, report):

@@ -14,7 +14,7 @@ from repro.model.robot import Robot
 from repro.visibility.flooding import FloodRouter
 from repro.visibility.graph import shortest_route, visibility_is_connected
 from repro.visibility.protocol import LocalGranularProtocol
-from repro.visibility.simulator import VisibilitySimulator
+from repro.model.simulator import Simulator
 
 RADIUS = 12.0
 
@@ -56,7 +56,7 @@ def test_flooding_delivers_on_random_connected_graphs(count, seed):
         )
         for i, p in enumerate(positions)
     ]
-    simulator = VisibilitySimulator(robots, visibility_radius=RADIUS)
+    simulator = Simulator(robots, visibility_radius=RADIUS)
     routers = [FloodRouter(MovementChannel(r.protocol)) for r in robots]
 
     src = seed % count
